@@ -3,7 +3,6 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <cstdint>
 #include <vector>
 
 #include "common/access.hpp"
@@ -27,8 +26,10 @@ namespace {
 ///
 /// Access protocol (annotated via the types, verified under MC_CHECK):
 /// cross-thread reads of the lanes via TeamBuffer::read, exclusive column
-/// writes into the shared matrix via OwnedSlice::add, a barrier, then the
-/// owner's lane re-zero -- all reads done before anyone re-zeroes.
+/// writes into the shared matrix via OwnedSlice::add, one barrier, then the
+/// owner's lane re-zero. No barrier follows the re-zero: each thread zeroes
+/// only its own lane, and the next cross-thread read of any lane is the
+/// next flush, which every caller reaches only after a later team barrier.
 void flush_buffer(const acc::TeamBuffer<double>& buf,
                   const acc::ThreadPrivate<double>& mine, int nt,
                   const basis::Shell& sh, std::size_t nbf,
@@ -53,7 +54,6 @@ void flush_buffer(const acc::TeamBuffer<double>& buf,
   // the same barrier advances the shadow ledger's epoch.
   MC_PROTOCOL_BARRIER(tag, th);
   mine.zero(static_cast<std::size_t>(nf) * nbf);
-  MC_PROTOCOL_BARRIER(tag, th);
 }
 
 }  // namespace
@@ -105,23 +105,61 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   // type has no mutating accessor, so a misrouted update cannot compile.
   const acc::SharedReadOnly<const la::Matrix&> den(density);
 
-  // Per-iteration decisions are taken once, by the master thread, and
-  // published through these shared slots. Threads snapshot them between
-  // two barriers, so the whole team always agrees on which worksharing
-  // constructs the iteration executes. (Evaluating "did i change?" per
-  // thread against a mutable iold is a divergence race: a fast thread can
-  // update the state before a slow one reads it, deadlocking the team.)
+  // Per-pair decisions are taken once, by the master thread, and published
+  // through these shared plan slots, so the whole team always agrees on
+  // which worksharing constructs a pair executes. (Evaluating "did i
+  // change?" per thread against a mutable iold is a divergence race: a
+  // fast thread can update the state before a slow one reads it,
+  // deadlocking the team.) The slots are double-buffered so the master can
+  // claim the next pair ahead, while the team still runs the current kl
+  // loop: the team reads slot s at the start of pair n while the master
+  // fills slot s^1, and pair n's end-of-kl barrier publishes it. The team
+  // last read slot s^1 at the start of pair n-1, before that pair's
+  // barriers, so the rewrite never overlaps a read.
   struct IterPlan {
-    long ij = 0;
-    bool skip = false;          // pair prescreened out
-    long flush_shell = -1;      // FI flush target shell, or -1
+    long ij = 0;             // list position; >= nlist ends the build
+    long flush_shell = -1;   // FI flush target shell before the kl loop, or -1
   };
-  IterPlan plan;
-  long iold = -1;  // previous i index; owned by the master thread
+  IterPlan plan[2];
+  long iold = -1;  // i shell of the last claimed pair; owned by the master
+
+  // Master only. Claims list positions until one survives the density-
+  // weighted pair prescreen (Algorithm 3 line 13; the static Schwarz
+  // prescreen is already baked into the list), so a skipped pair costs the
+  // team no barrier. An exhausted list yields the terminal plan, which
+  // carries the final FI flush (Algorithm 3 line 36).
+  auto claim_next = [&](IterPlan& p) {
+    for (;;) {
+      p.ij = ddi_->dlbnext();  // MPI DLB: get new list position
+      if (p.ij >= static_cast<long>(nlist)) break;
+      ++pairs_;
+      const ints::ScreenedPair& pr = bra_pairs[static_cast<std::size_t>(p.ij)];
+      if (weighted &&
+          !screen_->keep_pair(pr.i, pr.j, 4.0 * ctx.dmax_max, scale)) {
+        continue;
+      }
+      // Lazy FI flush: only when the i index changed since the last
+      // unscreened pair (Algorithm 3 lines 15-18).
+      p.flush_shell = -1;
+      if (static_cast<long>(pr.i) != iold || !opt_.lazy_fi_flush) {
+        p.flush_shell = iold;
+        if (iold >= 0) ++fi_flushes_;
+      }
+      iold = static_cast<long>(pr.i);
+      return;
+    }
+    p.flush_shell = iold;
+    if (iold >= 0) ++fi_flushes_;
+  };
 
   omp_set_schedule(opt_.dynamic_schedule ? omp_sched_dynamic
                                          : omp_sched_static,
                    1);
+
+  // The first claim happens on the rank thread, which becomes the team's
+  // master; the region's fork publishes it like the rest of the pre-region
+  // state.
+  claim_next(plan[0]);
 
   // Team fork/join edges: libgomp hands threads off through futexes TSan
   // cannot see, so publish the pre-region state (density, buffers, plan)
@@ -146,33 +184,70 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
     const acc::ThreadPrivate<double> fi_lane = fi_buf.lane(tid);
     const acc::ThreadPrivate<double> fj_lane = fj_buf.lane(tid);
     const acc::OwnedSlice<double> f_acc(g.data(), g.size(), &th, reg_f, 0);
-    // Thread-private quartet batch of the batched ERI pipeline. The digest
-    // replays the six-update routing per entry -- including th.set_task on
-    // the entry's kl tag, so the shadow ledger attributes the F_kl writes
-    // to the kl task that owns them. Every batch is drained before the
-    // end-of-kl-loop barrier: the direct F_kl writes rely on this thread's
-    // exclusive ownership of its claimed kl values, which only holds inside
-    // that epoch.
-    ints::QuartetBatch qbatch(*eri_);
-    auto digest_batch = [&]() {
-      qbatch.evaluate();
-      for (std::size_t qi = 0; qi < qbatch.size(); ++qi) {
-        const ints::QuartetBatch::Entry& e = qbatch.quartets()[qi];
-        th.set_task(static_cast<long>(e.tag));
-        const double* vals = qbatch.result(qi);
-        const basis::Shell& shi = bs.shell(e.si);
-        const basis::Shell& shj = bs.shell(e.sj);
-        const basis::Shell& shk = bs.shell(e.sk);
-        const basis::Shell& shl = bs.shell(e.sl);
-        const std::size_t oi = shi.first_bf;
-        const std::size_t oj = shj.first_bf;
+    // Thread-private quartet batch of the batched ERI pipeline, holding one
+    // quartet at a time: each claimed kl is evaluated and scattered at
+    // once, so the dynamic schedule hands out the ERI work itself rather
+    // than cheap screening steps whose quartets would pile up in one
+    // thread's batch behind the end-of-kl barrier. The direct F_kl writes
+    // rely on this thread's exclusive ownership of the claimed kl, which
+    // only holds inside the kl loop's epoch.
+    ints::QuartetBatch qbatch(*eri_, 1);
+    std::size_t my_quartets = 0;
+    std::size_t my_density_screened = 0;
+    std::size_t my_static_screened = 0;
+
+    for (int slot = 0;; slot ^= 1) {
+      const IterPlan my_plan = plan[slot];
+      th.set_task(my_plan.ij);
+      if (my_plan.flush_shell >= 0) {
+        flush_buffer(fi_buf, fi_lane, nt,
+                     bs.shell(static_cast<std::size_t>(my_plan.flush_shell)),
+                     nbf, f_acc, th, fi.data());
+      }
+      if (my_plan.ij >= static_cast<long>(nlist)) break;
+
+      // One span per claimed ij pair per thread: the per-thread lanes of
+      // the chrome trace make the kl-loop load split visible directly.
+      MC_OBS_TRACE("fock:shared:ij_task");
+      const ints::ScreenedPair& my_pair =
+          bra_pairs[static_cast<std::size_t>(my_plan.ij)];
+      const std::size_t i = my_pair.i;
+      const std::size_t j = my_pair.j;
+      // Canonical pair index of (i,j); the kl loop stays triangular over
+      // canonical pair indices regardless of the list's claim order.
+      const long ij = static_cast<long>(my_pair.canonical);
+      const basis::Shell& shi = bs.shell(i);
+      const basis::Shell& shj = bs.shell(j);
+      const std::size_t oi = shi.first_bf;
+      const std::size_t oj = shj.first_bf;
+      const int ni = shi.nfunc();
+      const int nj = shj.nfunc();
+
+#pragma omp for schedule(runtime) nowait
+      for (long kl = 0; kl <= ij; ++kl) {
+        th.set_task(kl);
+        const auto [k, l] =
+            screen_->pair_shells(static_cast<std::size_t>(kl));
+        if (!screen_->keep(i, j, k, l)) {  // Schwartz screening
+          ++my_static_screened;
+          continue;
+        }
+        if (weighted && !screen_->keep(i, j, k, l,
+                                       ctx.quartet_dmax(i, j, k, l), scale)) {
+          ++my_density_screened;
+          continue;
+        }
+        ++my_quartets;
+        qbatch.add(i, j, k, l);
+        qbatch.evaluate();
+        const double* vals = qbatch.result(0);
+        const basis::Shell& shk = bs.shell(k);
+        const basis::Shell& shl = bs.shell(l);
         const std::size_t ok = shk.first_bf;
         const std::size_t ol = shl.first_bf;
-        const int ni = shi.nfunc();
-        const int nj = shj.nfunc();
         const int nk = shk.nfunc();
         const int nl = shl.nfunc();
-        const double w = scf::quartet_degeneracy(e.si, e.sj, e.sk, e.sl);
+        const double w = scf::quartet_degeneracy(i, j, k, l);
 
         // The six updates of eqs. (2a)-(2f), routed per Algorithm 3:
         //   FI (ThreadPrivate lane):   F_ij, F_ik, F_il
@@ -205,106 +280,20 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
             }
           }
         }
+        qbatch.clear();
       }
-      qbatch.clear();
-    };
-    std::size_t my_quartets = 0;
-    std::size_t my_density_screened = 0;
-    std::size_t my_static_screened = 0;
-
-    for (;;) {
+      // Claim ahead: the master fills the other plan slot while the rest
+      // of the team may still be finishing its kl iterations.
 #pragma omp master
-      {
-        plan.ij = ddi_->dlbnext();  // MPI DLB: get new list position
-        plan.skip = false;
-        plan.flush_shell = -1;
-        if (plan.ij < static_cast<long>(nlist)) {
-          ++pairs_;
-          const ints::ScreenedPair& pr =
-              bra_pairs[static_cast<std::size_t>(plan.ij)];
-          // Static Schwarz prescreening (Algorithm 3 line 13) is already
-          // baked into the list; only the density-weighted pair bound
-          // remains to be checked per iteration.
-          plan.skip =
-              weighted &&
-              !screen_->keep_pair(pr.i, pr.j, 4.0 * ctx.dmax_max, scale);
-          if (!plan.skip) {
-            // Lazy FI flush: only when the i index changed since the last
-            // unscreened pair (Algorithm 3 lines 15-18).
-            if (static_cast<long>(pr.i) != iold || !opt_.lazy_fi_flush) {
-              plan.flush_shell = iold;
-              if (plan.flush_shell >= 0) ++fi_flushes_;
-            }
-            iold = static_cast<long>(pr.i);
-          }
-        }
-      }
-      MC_PROTOCOL_BARRIER(&plan, th);
-      const IterPlan my_plan = plan;
-      // All snapshots taken before the master's next rewrite.
-      MC_PROTOCOL_BARRIER(&plan, th);
-      if (my_plan.ij >= static_cast<long>(nlist)) break;
-      if (my_plan.skip) continue;
-      th.set_task(my_plan.ij);
-
-      // One span per claimed ij pair per thread: the per-thread lanes of
-      // the chrome trace make the kl-loop load split visible directly.
-      MC_OBS_TRACE("fock:shared:ij_task");
-      const ints::ScreenedPair& my_pair =
-          bra_pairs[static_cast<std::size_t>(my_plan.ij)];
-      const std::size_t i = my_pair.i;
-      const std::size_t j = my_pair.j;
-      // Canonical pair index of (i,j); the kl loop stays triangular over
-      // canonical pair indices regardless of the list's claim order.
-      const long ij = static_cast<long>(my_pair.canonical);
-      const basis::Shell& shj = bs.shell(j);
-
-      if (my_plan.flush_shell >= 0) {
-        flush_buffer(fi_buf, fi_lane, nt,
-                     bs.shell(static_cast<std::size_t>(my_plan.flush_shell)),
-                     nbf, f_acc, th, fi.data());
-      }
-
-#pragma omp for schedule(runtime) nowait
-      for (long kl = 0; kl <= ij; ++kl) {
-        th.set_task(kl);
-        const auto [k, l] =
-            screen_->pair_shells(static_cast<std::size_t>(kl));
-        if (!screen_->keep(i, j, k, l)) {  // Schwartz screening
-          ++my_static_screened;
-          continue;
-        }
-        if (weighted && !screen_->keep(i, j, k, l,
-                                       ctx.quartet_dmax(i, j, k, l), scale)) {
-          ++my_density_screened;
-          continue;
-        }
-        // Queue (i,j|k,l); the kl tag routes the digest's F_kl writes back
-        // to this task in the shadow ledger.
-        qbatch.add(i, j, k, l, static_cast<std::uint64_t>(kl));
-        ++my_quartets;
-        if (qbatch.full()) digest_batch();
-      }
-      // Drain before the epoch ends: F_kl exclusivity only holds until the
-      // end-of-kl-loop barrier below.
-      digest_batch();
+      claim_next(plan[slot ^ 1]);
       // End of kl loop (nowait + explicit barrier): orders the direct
-      // shared-Fock F_kl writes against the FJ flush that follows.
+      // shared-Fock F_kl writes against the FJ flush that follows, and
+      // publishes the next plan.
       MC_PROTOCOL_BARRIER(&plan, th);
 
       // Flush FJ after every kl loop (Algorithm 3 line 31).
+      th.set_task(my_plan.ij);
       flush_buffer(fj_buf, fj_lane, nt, shj, nbf, f_acc, th, fj.data());
-    }
-
-    // Flush the remaining FI contribution (Algorithm 3 line 36). iold was
-    // last written by the master before the loop-exit barriers, so every
-    // thread observes the same final value here.
-    if (iold >= 0) {
-      flush_buffer(fi_buf, fi_lane, nt,
-                   bs.shell(static_cast<std::size_t>(iold)), nbf, f_acc, th,
-                   fi.data());
-#pragma omp master
-      ++fi_flushes_;
     }
 
 #pragma omp atomic

@@ -23,6 +23,18 @@
 //    i index changes -- usually it does not, which is the key optimization.
 //  * Thread columns are padded to cache-line multiples to avoid false
 //    sharing (ablated by bench_ablations).
+//
+// Team barriers (DESIGN.md section 8.1): two per claimed pair -- the end
+// of the kl loop, then the read barrier of the FJ flush -- plus one per FI
+// flush; none for a pair the density-weighted pair prescreen drops.
+//  * The master claims the next pair ahead, before the end-of-kl barrier,
+//    into the other of two plan slots, looping dlbnext past skipped pairs
+//    itself; that barrier publishes the plan.
+//  * Each claimed kl's quartet is evaluated and scattered at once, so the
+//    dynamic kl schedule balances ERI work, not just screening steps.
+//  * A flush ends after the owners re-zero their own lanes, with no
+//    barrier: the next cross-thread read of a lane comes after a later
+//    end-of-kl barrier.
 
 #include "par/ddi.hpp"
 #include "scf/fock_builder.hpp"

@@ -77,6 +77,15 @@ ParallelScfResult run_parallel_scf(const chem::Molecule& mol,
   MC_CHECK(config.basis_per_atom.empty() ||
                config.basis_per_atom.size() == mol.natoms(),
            "basis_per_atom must name a basis for every atom");
+  // The rank-lockstep loop below implements DIIS and incremental builds
+  // only; refuse the serial driver's other convergence aids rather than
+  // silently running without them.
+  MC_CHECK(config.scf.damping == 0.0,
+           "run_parallel_scf does not implement ScfOptions::damping; use "
+           "scf::run_scf or set damping to 0");
+  MC_CHECK(config.scf.level_shift == 0.0,
+           "run_parallel_scf does not implement ScfOptions::level_shift; use "
+           "scf::run_scf or set level_shift to 0");
   MC_CHECK(ctx.has_setup() ||
                (ctx.basis_set == nullptr && ctx.eri == nullptr &&
                 ctx.screening == nullptr),

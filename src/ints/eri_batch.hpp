@@ -43,7 +43,6 @@ class QuartetBatch {
  public:
   struct Entry {
     std::uint32_t si = 0, sj = 0, sk = 0, sl = 0;  ///< caller shell indices
-    std::uint64_t tag = 0;     ///< caller-defined (e.g. kl task id)
     std::size_t offset = 0;    ///< into the results buffer
     std::size_t size = 0;      ///< doubles in this quartet's batch
   };
@@ -51,10 +50,8 @@ class QuartetBatch {
   explicit QuartetBatch(const EriEngine& eng,
                         std::size_t capacity = kDefaultBatchCapacity);
 
-  /// Queue one quartet (must not be full). `tag` rides along untouched for
-  /// the caller's digest routing.
-  void add(std::size_t si, std::size_t sj, std::size_t sk, std::size_t sl,
-           std::uint64_t tag = 0);
+  /// Queue one quartet (must not be full).
+  void add(std::size_t si, std::size_t sj, std::size_t sk, std::size_t sl);
 
   /// Evaluate every queued quartet (class-grouped Boys batching). After
   /// this, result(i) is valid for each entry i.

@@ -246,16 +246,15 @@ SimResult Simulator::run(const SimConfig& cfg) const {
         const double work = wl.task_cost()[p] * conv / threads;
         const double checks = (static_cast<double>(wl.pairs()[p].idx) + 1) *
                               kKlIterSeconds * conv / threads;
-        const double over = 2.0 * barrier + flush_s + calib_.dlb_rtt_s;
+        // Per claimed pair: the end-of-kl barrier, then the FJ flush with
+        // its one read barrier (inside flush_s). The master claims the next
+        // pair ahead, but the claim still sits on its path to the barrier.
+        // Pairs the Schwarz-compacted list drops are never claimed.
+        const double over = barrier + flush_s + calib_.dlb_rtt_s;
         tasks.push_back(work + checks + over);
         flush_total += flush_s / total_ranks;
-        sync_total += (2.0 * barrier + calib_.dlb_rtt_s) / total_ranks;
+        sync_total += (barrier + calib_.dlb_rtt_s) / total_ranks;
       }
-      // Prescreened ij pairs still cost a claim + barrier on some rank.
-      const double dead = static_cast<double>(wl.npairs_total()) -
-                          static_cast<double>(wl.npairs_surviving());
-      uniform_extra += dead * (calib_.dlb_rtt_s + barrier) / total_ranks;
-      sync_total += dead * (calib_.dlb_rtt_s + barrier) / total_ranks;
       break;
     }
     case ScfAlgorithm::kDistFock: {

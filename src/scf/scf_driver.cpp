@@ -159,36 +159,22 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
       f_eff = diis.extrapolate();
     }
 
-    la::SymEigResult eig;
     if (options.level_shift > 0.0) {
-      // Shift the virtual block in the orthonormal basis: F' = X^T F X +
-      // shift * P_virt, diagonalized there and back-transformed. Occupied
-      // energies (and the converged density) are unaffected; the
-      // occupied-virtual gap is opened to damp oscillations.
-      la::Matrix fp = la::transform(x, f_eff);
-      fp.symmetrize();
-      la::SymEigResult inner = la::eigh(fp);
-      for (std::size_t k = static_cast<std::size_t>(nocc);
-           k < inner.values.size(); ++k) {
-        inner.values[k] += options.level_shift;
-      }
-      // Rebuild the shifted matrix and rediagonalize via the generalized
-      // path for a uniform code path (cheap at these sizes).
-      la::Matrix shifted(fp.rows(), fp.cols());
-      for (std::size_t a = 0; a < fp.rows(); ++a) {
-        for (std::size_t b = 0; b < fp.cols(); ++b) {
-          double v = 0.0;
-          for (std::size_t k = 0; k < inner.values.size(); ++k) {
-            v += inner.vectors(a, k) * inner.values[k] * inner.vectors(b, k);
-          }
-          shifted(a, b) = v;
-        }
-      }
-      eig = la::eigh(shifted);
-      eig.vectors = la::gemm(x, eig.vectors);
-    } else {
-      eig = la::eigh_generalized(f_eff, x);
+      // Raise the virtual space of the density F was built from:
+      // F' = F + shift * (S - SDS/2). With D = 2 C_occ C_occ^T, the shift
+      // term is S C_virt C_virt^T S, so it leaves D's occupied orbitals
+      // alone and pushes its virtual ones up by `shift`, which damps
+      // occupied-virtual swaps while D is far from self-consistency. At
+      // convergence D's occupied space is an invariant subspace of F, so
+      // F' has the same occupied orbitals and the converged density and
+      // energy are unchanged.
+      la::Matrix shift = la::gemm(s, la::gemm(d, s));
+      shift *= -0.5;
+      shift += s;
+      shift *= options.level_shift;
+      f_eff += shift;
     }
+    const la::SymEigResult eig = la::eigh_generalized(f_eff, x);
     la::Matrix d_new = density_from_coefficients(eig.vectors, nocc);
     if (options.damping > 0.0 && iter > 1) {
       MC_CHECK(options.damping < 1.0, "damping factor must be in [0,1)");

@@ -28,8 +28,10 @@ struct ScfOptions {
   /// Density damping: D <- (1-a) D_new + a D_old. 0 disables (default).
   /// A classic fallback for oscillating SCFs when DIIS struggles.
   double damping = 0.0;
-  /// Level shift added to the virtual-virtual block of the Fock matrix in
-  /// the orthonormal basis (Hartree). 0 disables.
+  /// Level shift (Hartree) added to the virtual space of the density each
+  /// Fock matrix was built from, F' = F + shift (S - SDS/2), before it is
+  /// diagonalised. Slows orbital rotations early on; leaves the converged
+  /// energy unchanged. 0 disables.
   double level_shift = 0.0;
 
   /// Incremental (delta-density) Fock builds: after a full build of

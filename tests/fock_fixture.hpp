@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fuzz/ulp_compare.hpp"
 
@@ -88,18 +90,21 @@ struct FockFixture {
   }
 };
 
-/// Build the skeleton G with a given algorithm under `nranks` ranks and
-/// return rank 0's reduced result. `make(ddi)` returns the builder.
+/// Build the skeleton G of density `d` under context `ctx` with a given
+/// algorithm under `nranks` ranks and return rank 0's reduced result.
+/// `make(ddi)` returns the builder.
 template <typename MakeBuilder>
-la::Matrix build_distributed(const FockFixture& fx, int nranks,
-                             MakeBuilder&& make) {
+la::Matrix build_distributed_with(const FockFixture& fx, int nranks,
+                                  const la::Matrix& d,
+                                  const scf::FockContext& ctx,
+                                  MakeBuilder&& make) {
   la::Matrix out(fx.bs.nbf(), fx.bs.nbf());
   std::mutex mu;
   par::run_spmd(nranks, [&](par::Comm& comm) {
     par::Ddi ddi(comm);
     auto builder = make(ddi);
     la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
-    builder->build(fx.d, g);
+    builder->build(d, g, ctx);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lk(mu);
       out = g;
@@ -109,25 +114,61 @@ la::Matrix build_distributed(const FockFixture& fx, int nranks,
   return out;
 }
 
+/// The fixture's density under the trivial (static-screening) context.
+template <typename MakeBuilder>
+la::Matrix build_distributed(const FockFixture& fx, int nranks,
+                             MakeBuilder&& make) {
+  return build_distributed_with(fx, nranks, fx.d, scf::FockContext{},
+                                std::forward<MakeBuilder>(make));
+}
+
 /// Same as build_distributed, but contracts the fixture's delta density
 /// under its density-weighted context (the incremental-build code path).
 template <typename MakeBuilder>
 la::Matrix build_distributed_delta(const FockFixture& fx, int nranks,
                                    MakeBuilder&& make) {
-  la::Matrix out(fx.bs.nbf(), fx.bs.nbf());
-  std::mutex mu;
-  par::run_spmd(nranks, [&](par::Comm& comm) {
-    par::Ddi ddi(comm);
-    auto builder = make(ddi);
-    la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
-    builder->build(fx.d_delta, g, fx.delta_ctx);
-    if (comm.rank() == 0) {
-      std::lock_guard<std::mutex> lk(mu);
-      out = g;
+  return build_distributed_with(fx, nranks, fx.d_delta, fx.delta_ctx,
+                                std::forward<MakeBuilder>(make));
+}
+
+/// A weighted delta build in which the density-weighted pair prescreen
+/// drops a large part of the bra-grouped pair list: a context for the
+/// fixture's delta density whose screening threshold is multiplied by
+/// `threshold_scale` (the bounds are homogeneous, so this screens like a
+/// delta density 1/threshold_scale as large, as in a late SCF iteration,
+/// while the surviving contributions stay large enough for the ULP
+/// comparison to bite), the serial reference, and the pair census the
+/// shared-Fock master sees while claiming.
+struct SkipHeavyDelta {
+  scf::FockContext ctx;
+  la::Matrix g_ref;
+  std::size_t skipped_pairs = 0;  ///< list pairs the pair prescreen drops
+  std::size_t kept_pairs = 0;
+  std::size_t kept_i_groups = 0;  ///< distinct i shells among kept pairs
+};
+
+inline SkipHeavyDelta make_skip_heavy_delta(const FockFixture& fx,
+                                            double threshold_scale) {
+  SkipHeavyDelta s;
+  s.ctx = fx.delta_ctx;
+  s.ctx.threshold_scale = threshold_scale;
+  s.g_ref = la::Matrix(fx.bs.nbf(), fx.bs.nbf());
+  scf::SerialFockBuilder serial(fx.eri, fx.screen);
+  serial.build(fx.d_delta, s.g_ref, s.ctx);
+  std::vector<bool> seen(fx.bs.nshells(), false);
+  for (const ints::ScreenedPair& pr : fx.screen.bra_grouped_pairs()) {
+    if (!fx.screen.keep_pair(pr.i, pr.j, 4.0 * s.ctx.dmax_max,
+                             s.ctx.threshold_scale)) {
+      ++s.skipped_pairs;
+      continue;
     }
-    comm.barrier();
-  });
-  return out;
+    ++s.kept_pairs;
+    if (!seen[pr.i]) {
+      seen[pr.i] = true;
+      ++s.kept_i_groups;
+    }
+  }
+  return s;
 }
 
 /// Assert every element of `g` is within `max_ulps` representable doubles

@@ -176,6 +176,68 @@ TEST(SharedFock, LazyFlushingFlushesPerIChangeNotPerPair) {
   EXPECT_LT(flushes, pairs / 2);
 }
 
+// A late-iteration delta: the master claims past the pairs the density-
+// weighted prescreen drops, so those pairs never reach the team, and the
+// double-buffered claim-ahead plan alternates slots across the survivors.
+const Fixture& skip_heavy_fx() {
+  static const Fixture f(chem::builders::benzene(), "STO-3G");
+  return f;
+}
+const SkipHeavyDelta& skip_heavy_delta() {
+  static const SkipHeavyDelta s = make_skip_heavy_delta(skip_heavy_fx(), 1e11);
+  return s;
+}
+
+class SharedFockSkipHeavy
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(SharedFockSkipHeavy, WeightedDeltaMatchesSerial) {
+  const auto [nranks, lazy] = GetParam();
+  const Fixture& fx = skip_heavy_fx();
+  const SkipHeavyDelta& s = skip_heavy_delta();
+  ASSERT_GT(s.skipped_pairs, 0u);
+  ASSERT_GT(s.kept_pairs, 0u);
+  la::Matrix g =
+      build_distributed_with(fx, nranks, fx.d_delta, s.ctx, [&](par::Ddi& ddi) {
+        SharedFockOptions opt;
+        opt.nthreads = 4;
+        opt.lazy_fi_flush = lazy;
+        return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi,
+                                                   opt);
+      });
+  expect_bit_comparable(g, s.g_ref, kMaxSkeletonUlps, "shared skip-heavy");
+}
+
+INSTANTIATE_TEST_SUITE_P(RanksLazy, SharedFockSkipHeavy,
+                         ::testing::Combine(::testing::Values(1, 2),
+                                            ::testing::Bool()));
+
+TEST(SharedFock, SkippedPairsAreClaimedButNeverFlushed) {
+  const Fixture& fx = skip_heavy_fx();
+  const SkipHeavyDelta& s = skip_heavy_delta();
+  for (bool lazy : {true, false}) {
+    std::size_t flushes = 0;
+    std::size_t pairs = 0;
+    par::run_spmd(1, [&](par::Comm& comm) {
+      par::Ddi ddi(comm);
+      SharedFockOptions opt;
+      opt.nthreads = 4;
+      opt.lazy_fi_flush = lazy;
+      FockBuilderShared b(fx.eri, fx.screen, ddi, opt);
+      la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
+      b.build(fx.d_delta, g, s.ctx);
+      flushes = b.last_fi_flushes();
+      pairs = b.last_pairs_claimed();
+    });
+    // Every list position is claimed, skipped or not; the FI buffer
+    // flushes once per i group of kept pairs (lazy) or once per kept pair
+    // (eager).
+    EXPECT_EQ(pairs, s.skipped_pairs + s.kept_pairs) << "lazy=" << lazy;
+    EXPECT_EQ(flushes, lazy ? s.kept_i_groups : s.kept_pairs)
+        << "lazy=" << lazy;
+  }
+}
+
 TEST(SharedFockEdgeCases, SingleThreadDegeneratesToSerialProtocol) {
   // nthreads=1 means every buffer column, flush chunk, and kl pair belongs
   // to the one thread: the full protocol still runs but with no concurrency.
@@ -425,6 +487,26 @@ TEST(ParallelScf, RejectsInvalidConfigs) {
   cfg.nthreads = 1;
   EXPECT_THROW(run_parallel_scf(chem::builders::heh_plus(), cfg),
                mc::Error);  // odd electron count
+}
+
+TEST(ParallelScf, RejectsConvergenceAidsItDoesNotImplement) {
+  for (bool shift : {false, true}) {
+    ParallelScfConfig cfg;
+    cfg.basis = "STO-3G";
+    if (shift) {
+      cfg.scf.level_shift = 0.5;
+    } else {
+      cfg.scf.damping = 0.3;
+    }
+    try {
+      run_parallel_scf(chem::builders::h2(), cfg);
+      ADD_FAILURE() << (shift ? "level_shift" : "damping") << " accepted";
+    } catch (const mc::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(shift ? "level_shift" : "damping"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

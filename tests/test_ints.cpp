@@ -600,7 +600,7 @@ TEST(EriBatch, BatchedMatchesScalarWithinOneUlpAllClasses) {
     const int lb = bs.shell(i).l + bs.shell(j).l;
     const int lk = bs.shell(k).l + bs.shell(l).l;
     classes_seen.insert({lb, lk});
-    batch.add(i, j, k, l, q);
+    batch.add(i, j, k, l);
     pending.push_back({i, j, k, l});
     if (batch.full()) check_flush();
   }

@@ -306,6 +306,34 @@ TEST(McCheckBuilders, SharedFockBenzeneHasZeroViolations) {
       << check::Registry::instance().violations().front().to_string();
 }
 
+TEST(McCheckBuilders, SharedFockSkipHeavyDeltaHasZeroViolations) {
+  // Weighted delta build whose pair prescreen drops about half the list:
+  // the claim-ahead plan slots, the FJ flush without a trailing barrier,
+  // and the terminal plan's final FI flush all run under the ledger.
+  if (!check::core_hooks_compiled()) {
+    GTEST_SKIP() << "library built without -DMC_CHECK=ON";
+  }
+  check::ScopedForce on(true);
+  check::Registry::instance().reset();
+  FockFixture fx(chem::builders::benzene(), "STO-3G");
+  const SkipHeavyDelta s = make_skip_heavy_delta(fx, 1e11);
+  ASSERT_GT(s.skipped_pairs, 0u);
+  for (bool lazy : {true, false}) {
+    la::Matrix g =
+        build_distributed_with(fx, 2, fx.d_delta, s.ctx, [&](par::Ddi& ddi) {
+          SharedFockOptions opt;
+          opt.nthreads = 4;
+          opt.lazy_fi_flush = lazy;
+          return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi,
+                                                     opt);
+        });
+    expect_bit_comparable(g, s.g_ref, kMaxSkeletonUlps,
+                          lazy ? "skip-heavy lazy" : "skip-heavy eager");
+  }
+  EXPECT_EQ(check::Registry::instance().count(), 0u)
+      << check::Registry::instance().violations().front().to_string();
+}
+
 TEST(McCheckBuilders, PrivateFockBenzeneHasZeroViolations) {
   if (!check::core_hooks_compiled()) {
     GTEST_SKIP() << "library built without -DMC_CHECK=ON";

@@ -201,6 +201,27 @@ TEST(Scf, LevelShiftConvergesToSameEnergy) {
   EXPECT_NEAR(shifted.energy, plain.energy, 1e-7);
 }
 
+TEST(Scf, LevelShiftChangesTheIterates) {
+  // A shift that only relabels eigenvalues of the matrix being diagonalised
+  // changes no eigenvector and so no density; a real one alters the
+  // iteration-2 density (seen in its energy and the iteration-1 density
+  // step) and still converges to the same energy.
+  ScfOptions opt;
+  opt.level_shift = 0.5;
+  ScfResult shifted = run_serial(water_crawford(), "STO-3G", opt);
+  ScfResult plain = run_serial(water_crawford(), "STO-3G");
+  ASSERT_TRUE(shifted.converged);
+  ASSERT_TRUE(plain.converged);
+  ASSERT_GE(shifted.history.size(), 2u);
+  ASSERT_GE(plain.history.size(), 2u);
+  EXPECT_GT(std::abs(shifted.history[0].density_rms -
+                     plain.history[0].density_rms),
+            1e-6);
+  EXPECT_GT(std::abs(shifted.history[1].energy - plain.history[1].energy),
+            1e-6);
+  EXPECT_NEAR(shifted.energy, plain.energy, 1e-7);
+}
+
 TEST(Scf, BadDampingRejected) {
   ScfOptions opt;
   opt.use_diis = false;

@@ -122,6 +122,27 @@ TEST(TsanProtocol, WeightedDeltaBuildsAcrossAllThreeBuilders) {
                         "dist weighted delta");
 }
 
+TEST(TsanProtocol, SharedFockSkipHeavyDeltaClaimAhead) {
+  // Most pairs fail the density-weighted pair prescreen: the master claims
+  // past them inside its claim-ahead, so consecutive kept pairs alternate
+  // the double-buffered plan slots with no barrier in between skips.
+  const SkipHeavyDelta s = make_skip_heavy_delta(fx(), 1e12);
+  ASSERT_GT(s.skipped_pairs, s.kept_pairs);
+  for (bool lazy : {true, false}) {
+    la::Matrix g = build_distributed_with(
+        fx(), 2, fx().d_delta, s.ctx, [&](par::Ddi& ddi) {
+          SharedFockOptions opt;
+          opt.nthreads = 4;
+          opt.lazy_fi_flush = lazy;
+          return std::make_unique<FockBuilderShared>(fx().eri, fx().screen,
+                                                     ddi, opt);
+        });
+    expect_bit_comparable(g, s.g_ref, kMaxSkeletonUlps,
+                          lazy ? "shared skip-heavy lazy"
+                               : "shared skip-heavy eager");
+  }
+}
+
 TEST(TsanProtocol, SharedFockStaticScheduleUnpadded) {
   // padding=0 maximizes adjacent-column traffic in the buffer reduction:
   // false sharing is a performance bug, not a correctness bug, and TSan
