@@ -1,7 +1,6 @@
 #include "core/fock_dist.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "common/access.hpp"
@@ -341,60 +340,30 @@ void FockBuilderDist::process_pair(const ints::ScreenedPair& pair,
                                    ints::QuartetBatch& batch, DCache& dcache,
                                    FAcc& facc) {
   ++pairs_;
-  const std::size_t i = pair.i;
-  const std::size_t j = pair.j;
-  const bool weighted = ctx.weighted();
-  // Identical screening cascade to FockBuilderMpi: the set of computed
+  // The same screening cascade as FockBuilderMpi: the set of computed
   // quartets must not depend on the data layout.
-  if (weighted &&
-      !screen_->keep_pair(i, j, 4.0 * ctx.dmax_max, ctx.threshold_scale)) {
-    return;
-  }
-  scf::for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
-    if (!screen_->keep(i, j, k, l)) {
-      ++static_screened_;
-      return;
-    }
-    if (weighted && !screen_->keep(i, j, k, l, ctx.quartet_dmax(i, j, k, l),
-                                   ctx.threshold_scale)) {
-      ++density_screened_;
-      return;
-    }
-    batch.add(i, j, k, l);
-    ++quartets_;
-    if (batch.full()) flush_batch(batch, dcache, facc);
-  });
+  scf::for_each_screened_kl(*screen_, ctx, pair.i, pair.j, counts_,
+                            [&](std::size_t k, std::size_t l) {
+                              batch.add(pair.i, pair.j, k, l);
+                              if (batch.full()) {
+                                flush_batch(batch, dcache, facc);
+                              }
+                            });
 }
 
 void FockBuilderDist::build_dlb(const scf::FockContext& ctx, DCache& dcache,
                                 FAcc& facc) {
   const auto& pairs = screen_->sorted_pairs();
   ddi_->dlb_reset();
-
-  // Claim-ahead pipeline: keep up to prefetch_depth claimed pairs in
-  // flight, issuing their bra-tile fetches at claim time so the gets
-  // overlap the ERI batches of the pairs ahead of them (the in-process
-  // analogue of double-buffered async prefetch).
-  const std::size_t depth =
-      opt_.prefetch_depth > 0 ? static_cast<std::size_t>(opt_.prefetch_depth)
-                              : 0;
+  // Each pair is processed as soon as it is claimed. Window gets copy
+  // synchronously in-process, so claiming ahead to prefetch bra tiles
+  // would buy no overlap; flush_batch makes every tile it reads resident.
   ints::QuartetBatch batch(*eri_);
-  std::deque<std::size_t> claimed;
   long next = ddi_->dlbnext();
   for (std::size_t p = 0; p < pairs.size(); ++p) {
     if (static_cast<long>(p) != next) continue;
     next = ddi_->dlbnext();
-    dcache.request(layout_->shell_tile[pairs[p].i]);
-    dcache.request(layout_->shell_tile[pairs[p].j]);
-    claimed.push_back(p);
-    if (claimed.size() > depth) {
-      process_pair(pairs[claimed.front()], ctx, batch, dcache, facc);
-      claimed.pop_front();
-    }
-  }
-  while (!claimed.empty()) {
-    process_pair(pairs[claimed.front()], ctx, batch, dcache, facc);
-    claimed.pop_front();
+    process_pair(pairs[p], ctx, batch, dcache, facc);
   }
   flush_batch(batch, dcache, facc);
 }
@@ -407,24 +376,10 @@ void FockBuilderDist::build_static(const scf::FockContext& ctx,
   // any shared-counter traffic.
   const auto& pairs = screen_->sorted_pairs();
   const auto nranks = static_cast<std::size_t>(ddi_->size());
-  const auto rank = static_cast<std::size_t>(ddi_->rank());
-  const std::size_t depth =
-      opt_.prefetch_depth > 0 ? static_cast<std::size_t>(opt_.prefetch_depth)
-                              : 0;
   ints::QuartetBatch batch(*eri_);
-  std::deque<std::size_t> claimed;
-  for (std::size_t p = rank; p < pairs.size(); p += nranks) {
-    dcache.request(layout_->shell_tile[pairs[p].i]);
-    dcache.request(layout_->shell_tile[pairs[p].j]);
-    claimed.push_back(p);
-    if (claimed.size() > depth) {
-      process_pair(pairs[claimed.front()], ctx, batch, dcache, facc);
-      claimed.pop_front();
-    }
-  }
-  while (!claimed.empty()) {
-    process_pair(pairs[claimed.front()], ctx, batch, dcache, facc);
-    claimed.pop_front();
+  for (auto p = static_cast<std::size_t>(ddi_->rank()); p < pairs.size();
+       p += nranks) {
+    process_pair(pairs[p], ctx, batch, dcache, facc);
   }
   flush_batch(batch, dcache, facc);
 }
@@ -436,9 +391,7 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
   const std::size_t nbf = bs.nbf();
   MC_CHECK(g.rows() == nbf && g.cols() == nbf, "G shape mismatch");
   pairs_ = 0;
-  quartets_ = 0;
-  density_screened_ = 0;
-  static_screened_ = 0;
+  counts_ = {};
   tile_hits_ = 0;
   tile_misses_ = 0;
   zero_hits_ = 0;

@@ -12,9 +12,8 @@
 //
 //   * every rank puts its owned D panels into a window and fences once;
 //   * the pair loop (claimed via ddi_dlbnext, or a static cyclic slice)
-//     reads remote density panels through a rank-local tile cache with
-//     claim-ahead prefetch, overlapping tile fetches with the batched ERI
-//     pipeline;
+//     reads remote density panels through a rank-local tile cache, filled
+//     before each batch's scatter;
 //   * F contributions accumulate into rank-local panel buffers that are
 //     flushed with one-sided ddi_acc -- there is no N^2 gsumf of a
 //     replicated matrix anywhere in the build;
@@ -46,15 +45,11 @@ struct DistFockOptions {
   /// max(max_shell_size, nbf / (4 * nranks)), i.e. about four tiles per
   /// rank so the cyclic owner assignment stays balanced.
   int tile_rows = 0;
-  /// Pairs claimed ahead of the one being processed; their bra density
-  /// tiles are prefetched into the cache before the ERI pipeline needs
-  /// them (>= 1 gives the double-buffered overlap, 0 disables).
-  int prefetch_depth = 2;
   /// true: claim pairs with the global DLB counter (ddi_dlbnext), like
   /// Algorithm 1. false: HONPAS-style static distribution -- a cyclic
   /// slice of the Schwarz-sorted pair list, no shared counter.
   bool dynamic_lb = true;
-  /// Resident density-tile budget (tiles, incl. prefetched). 0 =
+  /// Resident density-tile budget (tiles). 0 =
   /// unlimited; small values bound cache memory at the cost of refetches.
   std::size_t max_cached_tiles = 0;
   /// Open local F panel budget. 0 = unlimited; exceeding it acc-flushes
@@ -109,17 +104,17 @@ class FockBuilderDist : public scf::FockBuilder {
     return pairs_;
   }
   [[nodiscard]] std::size_t last_quartets_computed() const override {
-    return quartets_;
+    return counts_.computed;
   }
   [[nodiscard]] std::size_t last_density_screened() const override {
-    return density_screened_;
+    return counts_.density_screened;
   }
   [[nodiscard]] std::size_t last_static_screened() const override {
-    return static_screened_;
+    return counts_.static_screened;
   }
   [[nodiscard]] std::vector<std::size_t> last_thread_quartets()
       const override {
-    return {quartets_};
+    return {counts_.computed};
   }
   [[nodiscard]] std::size_t screening_predicted_quartets() const override {
     return screen_->count_surviving_quartets();
@@ -163,9 +158,7 @@ class FockBuilderDist : public scf::FockBuilder {
   std::unique_ptr<TileLayout> layout_;
 
   std::size_t pairs_ = 0;
-  std::size_t quartets_ = 0;
-  std::size_t density_screened_ = 0;
-  std::size_t static_screened_ = 0;
+  scf::QuartetCounts counts_;
   std::size_t tile_hits_ = 0;
   std::size_t tile_misses_ = 0;
   std::size_t zero_hits_ = 0;

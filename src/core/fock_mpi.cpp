@@ -28,29 +28,11 @@ void FockBuilderMpi::process_pair(const ints::ScreenedPair& pair,
                                   const scf::FockContext& ctx,
                                   ints::QuartetBatch& batch) {
   ++pairs_;
-  const std::size_t i = pair.i;
-  const std::size_t j = pair.j;
-  const bool weighted = ctx.weighted();
-  // Pair-level density prescreen: q_ij * qmax * 4*max|D| bounds every
-  // quartet bound checked below, so a failing pair has no surviving work.
-  if (weighted &&
-      !screen_->keep_pair(i, j, 4.0 * ctx.dmax_max, ctx.threshold_scale)) {
-    return;
-  }
-  scf::for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
-    if (!screen_->keep(i, j, k, l)) {  // Schwartz screening
-      ++static_screened_;
-      return;
-    }
-    if (weighted && !screen_->keep(i, j, k, l, ctx.quartet_dmax(i, j, k, l),
-                                   ctx.threshold_scale)) {
-      ++density_screened_;
-      return;
-    }
-    batch.add(i, j, k, l);  // (i,j|k,l) queued for batched evaluation
-    ++quartets_;
-    if (batch.full()) flush_batch(batch, density, g);
-  });
+  scf::for_each_screened_kl(*screen_, ctx, pair.i, pair.j, counts_,
+                            [&](std::size_t k, std::size_t l) {
+                              batch.add(pair.i, pair.j, k, l);
+                              if (batch.full()) flush_batch(batch, density, g);
+                            });
 }
 
 void FockBuilderMpi::build_dlb(const la::Matrix& density, la::Matrix& g,
@@ -93,9 +75,7 @@ void FockBuilderMpi::build(const la::Matrix& density, la::Matrix& g,
   const basis::BasisSet& bs = eri_->basis_set();
   MC_CHECK(g.rows() == bs.nbf() && g.cols() == bs.nbf(), "G shape mismatch");
   pairs_ = 0;
-  quartets_ = 0;
-  density_screened_ = 0;
-  static_screened_ = 0;
+  counts_ = {};
   steals_ = 0;
 
   if (lb_ == MpiLoadBalance::kWorkStealing) {

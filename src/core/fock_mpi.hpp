@@ -53,17 +53,17 @@ class FockBuilderMpi : public scf::FockBuilder {
   }
   /// Quartets this rank computed in the last build.
   [[nodiscard]] std::size_t last_quartets_computed() const override {
-    return quartets_;
+    return counts_.computed;
   }
   [[nodiscard]] std::size_t last_density_screened() const override {
-    return density_screened_;
+    return counts_.density_screened;
   }
   [[nodiscard]] std::size_t last_static_screened() const override {
-    return static_screened_;
+    return counts_.static_screened;
   }
   [[nodiscard]] std::vector<std::size_t> last_thread_quartets()
       const override {
-    return {quartets_};
+    return {counts_.computed};
   }
   [[nodiscard]] std::size_t screening_predicted_quartets() const override {
     return screen_->count_surviving_quartets();
@@ -95,9 +95,7 @@ class FockBuilderMpi : public scf::FockBuilder {
   par::Ddi* ddi_;
   MpiLoadBalance lb_;
   std::size_t pairs_ = 0;
-  std::size_t quartets_ = 0;
-  std::size_t density_screened_ = 0;
-  std::size_t static_screened_ = 0;
+  scf::QuartetCounts counts_;
   std::size_t steals_ = 0;
 };
 

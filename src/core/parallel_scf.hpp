@@ -1,9 +1,13 @@
 #pragma once
 // End-to-end distributed SCF: launches a minimpi SPMD job in which every
-// rank runs the lockstep GAMESS-style SCF loop -- replicated one-electron
-// matrices and diagonalization, cooperative two-electron Fock build with
-// the selected algorithm, ddi_gsumf reduction -- and reports rank-0 results
-// plus per-rank memory and load statistics.
+// rank does its own setup (basis, ERI engine, screening -- or the caller's
+// shared warm setup), builds the selected algorithm's collective
+// FockBuilder and runs scf::run_scf, the one SCF loop. Hooks bound to the
+// rank's communicator keep the replicated loops in lockstep: a rank sum of
+// the build counters, a max of the density RMS and, when profiling, a
+// hand-off of per-rank metrics to the session rank 0 writes. One-electron
+// matrices and diagonalization are replicated, as in GAMESS; the result
+// carries rank 0's SCF plus per-rank memory and load statistics.
 //
 // This is the public entry point a downstream user calls; the examples and
 // the algorithm-comparison benchmarks are built on it.

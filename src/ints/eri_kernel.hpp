@@ -21,8 +21,8 @@
 // within one primitive quartet, complementing the Boys batch axis across
 // quartets. Iteration orders match the pre-restructure kernel exactly
 // (tau,nu,phi and t,u,v ascending), so results are bitwise unchanged;
-// eri_quartet_kernel_ref below preserves the original nested-loop form
-// and test_ints pins new == ref at 0 ULP.
+// test_ints keeps the original nested-loop form as a reference and pins
+// new == ref at 0 ULP.
 //
 // Not part of the public ints API; include from src/ints only.
 
@@ -93,17 +93,6 @@ inline bool prim_skipped(const PrimPairData& bp, const PrimPairData& kp,
 struct FmView {
   const double* fm = nullptr;
   std::size_t stride = 1;
-};
-
-/// Boys source for the scalar path: evaluates inline per primitive quartet.
-/// (Functor interface retained for eri_quartet_kernel_ref / tests.)
-struct ScalarBoys {
-  int ltot = 0;
-  double buf[kMaxBoysOrder + 1];
-  FmView operator()(const PrimGeom& pg) {
-    boys(ltot, pg.t, buf);
-    return {buf, 1};
-  }
 };
 
 /// Primitive source for the scalar path: computes geometry, prescreen, and
@@ -402,96 +391,6 @@ void eri_quartet_kernel(const ShellPairData& bra, const ShellPairData& ket,
       eri_quartet_kernel_impl<-1, -1>(bra, ket, src, g_scratch,
                                       rmat_scratch, r, out);
       return;
-  }
-}
-
-/// Reference kernel: the original nested-loop form over the full Hermite
-/// cubes, kept verbatim as the oracle for the restructured kernel above
-/// (test_ints pins eri_quartet_kernel == eri_quartet_kernel_ref at 0 ULP
-/// per element). Not used by any production path.
-template <typename BoysSource>
-void eri_quartet_kernel_ref(const ShellPairData& bra,
-                            const ShellPairData& ket, BoysSource&& boys_src,
-                            std::vector<double>& g_scratch, RTable& r,
-                            double* out) {
-  const int ncomp_ab = bra.ncomp();
-  const int ncomp_cd = ket.ncomp();
-  const std::size_t herm_ab = bra.herm_size();
-  const int hab = bra.hd;
-  const int hcd = ket.hd;
-  const std::size_t herm_cd = static_cast<std::size_t>(hcd) * hcd * hcd;
-  const int lb = hab - 1;  // bra.l1 + bra.l2
-  const int lk = hcd - 1;  // ket.l1 + ket.l2
-  const int ltot = lb + lk;
-
-  const std::size_t nout =
-      static_cast<std::size_t>(ncomp_ab) * static_cast<std::size_t>(ncomp_cd);
-  for (std::size_t i = 0; i < nout; ++i) out[i] = 0.0;
-
-  // G[cd][t,u,v] over the *bra* Hermite range, reused across primitives.
-  const std::size_t gsize = static_cast<std::size_t>(ncomp_cd) * herm_ab;
-  if (g_scratch.size() < gsize) g_scratch.resize(gsize);
-  double* g = g_scratch.data();
-
-  for (const PrimPairData& bp : bra.prims) {
-    std::fill_n(g, gsize, 0.0);
-
-    for (const PrimPairData& kp : ket.prims) {
-      const PrimGeom pg = prim_geom(bp, kp);
-      if (prim_skipped(bp, kp, pg.pref)) continue;
-      const FmView fv = boys_src(pg);
-      r.build_from(ltot, pg.alpha, pg.pq, fv.fm, fv.stride);
-
-      for (int cd = 0; cd < ncomp_cd; ++cd) {
-        const double* hk = kp.hermite.data() +
-                           static_cast<std::size_t>(cd) * herm_cd;
-        double* gc = g + static_cast<std::size_t>(cd) * herm_ab;
-        for (int tau = 0; tau <= lk; ++tau) {
-          for (int nu = 0; nu <= lk - tau; ++nu) {
-            for (int phi = 0; phi <= lk - tau - nu; ++phi) {
-              const double hval = hk[(tau * hcd + nu) * hcd + phi];
-              if (hval == 0.0) continue;
-              const double w =
-                  pg.pref * (((tau + nu + phi) & 1) ? -hval : hval);
-              for (int t = 0; t <= lb; ++t) {
-                const int rt = t + tau;
-                for (int u = 0; u <= lb - t; ++u) {
-                  const int ru = u + nu;
-                  double* grow = gc + (t * hab + u) * hab;
-                  const int vend = lb - t - u;
-                  for (int v = 0; v <= vend; ++v) {
-                    grow[v] += w * r(rt, ru, v + phi);
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-
-    // Contract the bra Hermite coefficients against G, triangle-bounded:
-    // hb entries with t+u+v > lb are exactly zero by construction.
-    for (int ab = 0; ab < ncomp_ab; ++ab) {
-      const double* hb =
-          bp.hermite.data() + static_cast<std::size_t>(ab) * herm_ab;
-      double* orow = out + static_cast<std::size_t>(ab) * ncomp_cd;
-      for (int cd = 0; cd < ncomp_cd; ++cd) {
-        const double* gc = g + static_cast<std::size_t>(cd) * herm_ab;
-        double s = 0.0;
-        for (int t = 0; t <= lb; ++t) {
-          for (int u = 0; u <= lb - t; ++u) {
-            const std::size_t base = static_cast<std::size_t>(t * hab + u) *
-                                     static_cast<std::size_t>(hab);
-            for (int v = 0; v <= lb - t - u; ++v) {
-              s += hb[base + static_cast<std::size_t>(v)] *
-                   gc[base + static_cast<std::size_t>(v)];
-            }
-          }
-        }
-        orow[cd] += s;
-      }
-    }
   }
 }
 

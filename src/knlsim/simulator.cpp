@@ -261,9 +261,10 @@ SimResult Simulator::run(const SimConfig& cfg) const {
       // Algorithm 4 (this repo): the MPI-only pair loop -- single-threaded
       // ranks, same DLB claims and kl sweeps -- but the N^2 gsumf is
       // replaced by one-sided window traffic. Each rank streams about
-      // 2 N^2 / N_ranks doubles of density tiles in (cached, and half
-      // hidden behind the ERI pipeline by the claim-ahead prefetch) and
-      // accs the same volume of F panels out.
+      // 2 N^2 / N_ranks doubles of density tiles in (cached; half assumed
+      // hidden behind the ERI pipeline, as asynchronous one-sided gets
+      // would be on real hardware) and accs the same volume of F panels
+      // out.
       tasks.reserve(wl.pairs().size());
       for (std::size_t p = 0; p < wl.pairs().size(); ++p) {
         const double work = wl.task_cost()[p] * conv;

@@ -23,7 +23,7 @@
 // each of the six updates (paper eqs. 2a-2f) is accumulated and how the
 // quartet loop is distributed -- which is exactly the paper's subject.
 
-#include <cmath>
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -176,19 +176,45 @@ inline std::size_t kl_count(std::size_t i, std::size_t j) {
   return i * (i + 1) / 2 + j + 1;
 }
 
-/// Map a flat canonical pair index back to (i, j), i >= j
-/// (pair = i*(i+1)/2 + j). Kept for tests and one-off decodes; the hot
-/// loops use Screening::pair_shells, a precomputed table without the
-/// sqrt/guard dance.
-inline void unpack_pair(std::size_t pair, std::size_t& i, std::size_t& j) {
-  // i = floor((sqrt(8p+1)-1)/2), then j = p - i(i+1)/2, with a guard for
-  // floating-point edge cases.
-  std::size_t ii = static_cast<std::size_t>(
-      (std::sqrt(8.0 * static_cast<double>(pair) + 1.0) - 1.0) / 2.0);
-  while (ii * (ii + 1) / 2 > pair) --ii;
-  while ((ii + 1) * (ii + 2) / 2 <= pair) ++ii;
-  i = ii;
-  j = pair - ii * (ii + 1) / 2;
+/// Per-build tallies of the screened quartet loop (this rank's share for
+/// distributed builders).
+struct QuartetCounts {
+  std::size_t computed = 0;
+  std::size_t static_screened = 0;   ///< killed by the static Schwarz bound
+  std::size_t density_screened = 0;  ///< killed by the density-weighted bound
+};
+
+/// The screening cascade under one bra pair (i, j), shared by the serial,
+/// MPI-only and dist-fock builders so the set of computed quartets cannot
+/// depend on the algorithm: the density-weighted pair prescreen (when ctx
+/// is weighted), then for_each_kl with the static Schwarz keep and the
+/// density-weighted keep. Calls on_quartet(k, l) for each survivor, in
+/// discovery order, and tallies every decision in `counts`.
+template <typename Fn>
+void for_each_screened_kl(const ints::Screening& screen,
+                          const FockContext& ctx, std::size_t i,
+                          std::size_t j, QuartetCounts& counts,
+                          Fn&& on_quartet) {
+  const bool weighted = ctx.weighted();
+  // q_ij * qmax * 4*max|D| bounds every quartet bound checked below, so a
+  // failing pair has no surviving work.
+  if (weighted &&
+      !screen.keep_pair(i, j, 4.0 * ctx.dmax_max, ctx.threshold_scale)) {
+    return;
+  }
+  for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
+    if (!screen.keep(i, j, k, l)) {
+      ++counts.static_screened;
+      return;
+    }
+    if (weighted && !screen.keep(i, j, k, l, ctx.quartet_dmax(i, j, k, l),
+                                 ctx.threshold_scale)) {
+      ++counts.density_screened;
+      return;
+    }
+    ++counts.computed;
+    on_quartet(k, l);
+  });
 }
 
 }  // namespace mc::scf

@@ -53,39 +53,46 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
   ScfResult res;
   res.nuclear_repulsion = mol.nuclear_repulsion();
 
-  const la::Matrix s = ints::overlap_matrix(bs);
-  const la::Matrix h = ints::core_hamiltonian(bs, mol);
+  // The long-lived matrices are charged to MemoryTracker under the calling
+  // rank, so a distributed run reports each rank's replicated footprint.
+  const la::Matrix s(ints::overlap_matrix(bs), "overlap");
+  const la::Matrix h(ints::core_hamiltonian(bs, mol), "hcore");
   const la::Matrix x = la::canonical_orthogonalizer(s, options.lindep_tolerance);
 
-  la::Matrix d;
+  la::Matrix d(nbf, nbf, "density");
   if (seed_density != nullptr) {
     MC_CHECK(seed_density->rows() == nbf && seed_density->cols() == nbf,
              "warm-start seed density has the wrong shape");
-    d = *seed_density;
+    d.copy_values_from(*seed_density);
   } else {
-    d = core_guess_density(h, x, nocc);
+    d.copy_values_from(core_guess_density(h, x, nocc));
   }
-  la::Matrix g(nbf, nbf);
+  la::Matrix g(nbf, nbf, "fock");
   // Incremental-build state: the accumulated *symmetrized* skeleton
   // G_acc = sym(G(D_ref)) + sum sym(G(D_n - D_{n-1})) (symmetrization is
   // linear, so accumulating symmetrized deltas equals symmetrizing the
   // total), the density it corresponds to, and the reset-policy trackers.
-  la::Matrix g_acc(nbf, nbf);
-  la::Matrix d_last(nbf, nbf);
-  la::Matrix d_delta(nbf, nbf);
+  // In a distributed run all of it is replicated and updated identically
+  // on every rank (the counters are rank-summed), so the full-vs-delta
+  // decision agrees across the team -- a divergent one would deadlock the
+  // builder's collectives.
+  la::Matrix g_acc(nbf, nbf, "fock_acc");
+  la::Matrix d_last(nbf, nbf, "density_last");
+  la::Matrix d_delta(nbf, nbf, "density_delta");
   int builds_since_full = 0;
   double err_acc = 0.0;
   Diis diis(options.diis_max_vectors);
 
-  // --profile: stream one JSON record per iteration plus a chrome-trace
-  // timeline (DESIGN.md section 10). The serial driver reports a single
-  // rank slot; when called from inside an SPMD body (the test fixtures do
-  // this) the calling rank's slot is used, so only one rank of a team may
-  // profile. The distributed profiled path is core::run_parallel_scf.
+  // --profile: one JSON record per iteration plus a chrome-trace timeline
+  // (DESIGN.md section 10). Without a write_profile hook the driver opens
+  // its own session and reports one rank slot: the calling rank's when
+  // called from inside an SPMD body, so only one rank of a team may
+  // profile that way.
   std::unique_ptr<obs::ProfileSession> profile;
-  if (!options.profile_path.empty()) {
+  if (!options.profile_path.empty() && !callbacks.write_profile) {
     profile = std::make_unique<obs::ProfileSession>(options.profile_path);
   }
+  const bool profiling = profile != nullptr || callbacks.write_profile;
   const int cur_rank = MemoryTracker::current_rank();
   const int prof_rank = cur_rank < 0 ? 0 : cur_rank;
   std::size_t predicted_quartets = 0;
@@ -127,15 +134,21 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
       g.symmetrize();
       g_acc += g;
       ++builds_since_full;
+    }
+    d_last.copy_values_from(d);
+    QuartetCounts counts{builder.last_quartets_computed(),
+                         builder.last_static_screened(),
+                         builder.last_density_screened()};
+    if (callbacks.sum_counts) counts = callbacks.sum_counts(counts);
+    if (!full_rebuild) {
       // Per-element screening-error estimate for the reset policy: every
       // density-screened quartet contributes below threshold * scale;
       // dividing by nbf approximates the scatter fan-out per element.
       err_acc += builder.screening_threshold() *
                  options.incremental_threshold_scale *
-                 static_cast<double>(builder.last_density_screened()) /
+                 static_cast<double>(counts.density_screened) /
                  static_cast<double>(nbf);
     }
-    d_last.copy_values_from(d);
     const double t_fock = fock_timer.seconds();
     res.fock_build_seconds += t_fock;
 
@@ -174,6 +187,8 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
       shift *= options.level_shift;
       f_eff += shift;
     }
+    // Diagonalization is replicated on every rank of a distributed run (as
+    // in GAMESS, where it is a known scalability limit -- paper section 2).
     const la::SymEigResult eig = la::eigh_generalized(f_eff, x);
     la::Matrix d_new = density_from_coefficients(eig.vectors, nocc);
     if (options.damping > 0.0 && iter > 1) {
@@ -193,6 +208,7 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
       rms += dv * dv;
     }
     rms = std::sqrt(rms / static_cast<double>(d.size()));
+    if (callbacks.max_density_rms) rms = callbacks.max_density_rms(rms);
 
     ScfIterationInfo info;
     info.iteration = iter;
@@ -201,22 +217,23 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
     info.density_rms = rms;
     info.fock_build_seconds = t_fock;
     info.full_rebuild = full_rebuild;
-    info.quartets_computed = builder.last_quartets_computed();
-    info.density_screened = builder.last_density_screened();
+    info.quartets_computed = counts.computed;
+    info.density_screened = counts.density_screened;
     res.history.push_back(info);
     if (callbacks.on_iteration) callbacks.on_iteration(info);
 
-    if (profile) {
+    if (profiling) {
       obs::IterationRecord rec;
       rec.algorithm = builder.name();
-      rec.nranks = 1;
       obs::RankIterationMetrics rm;
       rm.rank = prof_rank;
       rm.pairs_claimed = builder.last_pairs_claimed();
-      rm.quartets = info.quartets_computed;
+      rm.quartets = builder.last_quartets_computed();
       rm.static_screened = builder.last_static_screened();
-      rm.density_screened = info.density_screened;
+      rm.density_screened = builder.last_density_screened();
       rm.thread_quartets = builder.last_thread_quartets();
+      rm.tile_hits = builder.last_tile_cache_hits();
+      rm.tile_misses = builder.last_tile_cache_misses();
       const double dlb =
           obs::channel_seconds(obs::Channel::kDlbWait, prof_rank);
       const double gsum = obs::channel_seconds(obs::Channel::kGsum, prof_rank);
@@ -240,15 +257,19 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
       rec.density_rms = rms;
       rec.full_rebuild = full_rebuild;
       rec.fock_seconds = t_fock;
-      rec.quartets = rm.quartets;
-      rec.static_screened = rm.static_screened;
-      rec.density_screened = rm.density_screened;
+      rec.quartets = counts.computed;
+      rec.static_screened = counts.static_screened;
+      rec.density_screened = counts.density_screened;
       rec.screening_predicted_quartets = predicted_quartets;
       rec.ranks.push_back(std::move(rm));
-      profile->write_iteration(rec);
+      if (profile) {
+        profile->write_iteration(rec);
+      } else {
+        callbacks.write_profile(rec);
+      }
     }
 
-    d = std::move(d_new);
+    d.copy_values_from(d_new);
     res.iterations = iter;
     res.energy = e_total;
     res.electronic_energy = e_elec;

@@ -2,6 +2,8 @@
 // The SCF driver: core Hamiltonian guess, Fock build (delegated to a
 // FockBuilder strategy), DIIS, diagonalization, convergence control.
 // Mirrors the GAMESS RHF SCF structure the paper describes in section 3.
+// It is the only RHF loop: core::run_parallel_scf runs it on every rank
+// with a collective builder and the ScfCallbacks hooks below.
 
 #include <functional>
 #include <string>
@@ -10,6 +12,7 @@
 #include "basis/basis_set.hpp"
 #include "chem/molecule.hpp"
 #include "la/matrix.hpp"
+#include "obs/metrics.hpp"
 #include "scf/fock_builder.hpp"
 
 namespace mc::scf {
@@ -69,9 +72,9 @@ struct ScfIterationInfo {
   /// True when this iteration rebuilt G from the full density (iteration 1
   /// and reset-policy rebuilds); false for delta-density builds.
   bool full_rebuild = true;
-  /// Quartets the builder computed this iteration (this rank's share for
-  /// distributed builders under run_scf; summed over ranks by
-  /// run_parallel_scf). 0 if the builder does not count.
+  /// Quartets the builder computed this iteration: this rank's share for a
+  /// distributed builder, unless ScfCallbacks::sum_counts sums it over the
+  /// ranks (run_parallel_scf does). 0 if the builder does not count.
   std::size_t quartets_computed = 0;
   /// Quartets killed by density-weighted screening this iteration.
   std::size_t density_screened = 0;
@@ -93,11 +96,25 @@ struct ScfResult {
   double fock_build_seconds = 0.0;
 };
 
-/// Hooks the distributed SCF path uses to keep ranks in lockstep; the
-/// defaults are no-ops for serial runs.
+/// Hooks the distributed SCF path uses to keep ranks in lockstep
+/// (core::run_parallel_scf binds them to the rank's communicator). Every
+/// unset hook is the identity of a single-process run. The counter sum and
+/// the RMS max are each one collective per iteration; the profile hand-off
+/// is only called when profiling.
 struct ScfCallbacks {
   /// Called after each iteration with the info record (e.g. rank-0 logging).
   std::function<void(const ScfIterationInfo&)> on_iteration;
+  /// Sums one build's counters over the ranks. The density-screened count
+  /// feeds the incremental error estimate, so every rank must see the same
+  /// total to take the same full-vs-delta decision.
+  std::function<QuartetCounts(QuartetCounts)> sum_counts;
+  /// Max of the RMS density change over the ranks (the convergence test).
+  std::function<double(double)> max_density_rms;
+  /// Profile hand-off: when set, the run is profiled and each iteration's
+  /// record -- run-wide fields plus this rank's metrics as its single
+  /// `ranks` entry -- goes here instead of to a session run_scf opens
+  /// from ScfOptions::profile_path.
+  std::function<void(obs::IterationRecord&)> write_profile;
 };
 
 /// Run a closed-shell restricted Hartree-Fock SCF.

@@ -12,12 +12,8 @@ void SerialFockBuilder::build(const la::Matrix& density, la::Matrix& g,
                               const FockContext& ctx) {
   MC_OBS_TRACE("fock:serial");
   const basis::BasisSet& bs = eri_->basis_set();
-  quartets_ = 0;
-  density_screened_ = 0;
-  static_screened_ = 0;
+  counts_ = {};
   pairs_ = 0;
-  const bool weighted = ctx.weighted();
-  const double scale = ctx.threshold_scale;
 
   if (batch_capacity_ == 0) {
     // Legacy scalar path: per-quartet compute + scatter. Kept selectable so
@@ -25,29 +21,13 @@ void SerialFockBuilder::build(const la::Matrix& density, la::Matrix& g,
     // screening counters must agree; see test_incremental.cpp).
     std::vector<double> batch;
     for (const ints::ScreenedPair& pr : screen_->sorted_pairs()) {
-      const std::size_t i = pr.i;
-      const std::size_t j = pr.j;
       ++pairs_;
-      // Pair-level density prescreen: bounds every quartet under this bra
-      // pair by q_ij * qmax * 4*max|D|, the loosest quartet bound below.
-      if (weighted && !screen_->keep_pair(i, j, 4.0 * ctx.dmax_max, scale)) {
-        continue;
-      }
-      for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
-        if (!screen_->keep(i, j, k, l)) {
-          ++static_screened_;
-          return;
-        }
-        if (weighted &&
-            !screen_->keep(i, j, k, l, ctx.quartet_dmax(i, j, k, l), scale)) {
-          ++density_screened_;
-          return;
-        }
-        ints::ensure_batch_size(batch, eri_->batch_size(i, j, k, l));
-        eri_->compute(i, j, k, l, batch.data());
-        scatter_quartet(bs, i, j, k, l, batch.data(), density, g);
-        ++quartets_;
-      });
+      for_each_screened_kl(
+          *screen_, ctx, pr.i, pr.j, counts_, [&](std::size_t k, std::size_t l) {
+            ints::ensure_batch_size(batch, eri_->batch_size(pr.i, pr.j, k, l));
+            eri_->compute(pr.i, pr.j, k, l, batch.data());
+            scatter_quartet(bs, pr.i, pr.j, k, l, batch.data(), density, g);
+          });
     }
     return;
   }
@@ -67,26 +47,12 @@ void SerialFockBuilder::build(const la::Matrix& density, la::Matrix& g,
     batch.clear();
   };
   for (const ints::ScreenedPair& pr : screen_->sorted_pairs()) {
-    const std::size_t i = pr.i;
-    const std::size_t j = pr.j;
     ++pairs_;
-    if (weighted && !screen_->keep_pair(i, j, 4.0 * ctx.dmax_max, scale)) {
-      continue;
-    }
-    for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
-      if (!screen_->keep(i, j, k, l)) {
-        ++static_screened_;
-        return;
-      }
-      if (weighted &&
-          !screen_->keep(i, j, k, l, ctx.quartet_dmax(i, j, k, l), scale)) {
-        ++density_screened_;
-        return;
-      }
-      batch.add(i, j, k, l);
-      ++quartets_;
-      if (batch.full()) flush();
-    });
+    for_each_screened_kl(*screen_, ctx, pr.i, pr.j, counts_,
+                         [&](std::size_t k, std::size_t l) {
+                           batch.add(pr.i, pr.j, k, l);
+                           if (batch.full()) flush();
+                         });
   }
   flush();
 }

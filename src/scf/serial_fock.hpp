@@ -36,20 +36,20 @@ class SerialFockBuilder : public FockBuilder {
 
   /// Quartets that survived screening in the last build (statistics).
   [[nodiscard]] std::size_t last_quartets_computed() const override {
-    return quartets_;
+    return counts_.computed;
   }
   [[nodiscard]] std::size_t last_density_screened() const override {
-    return density_screened_;
+    return counts_.density_screened;
   }
   [[nodiscard]] std::size_t last_static_screened() const override {
-    return static_screened_;
+    return counts_.static_screened;
   }
   [[nodiscard]] std::size_t last_pairs_claimed() const override {
     return pairs_;
   }
   [[nodiscard]] std::vector<std::size_t> last_thread_quartets()
       const override {
-    return {quartets_};
+    return {counts_.computed};
   }
   [[nodiscard]] std::size_t screening_predicted_quartets() const override {
     return screen_->count_surviving_quartets();
@@ -62,9 +62,7 @@ class SerialFockBuilder : public FockBuilder {
   const ints::EriEngine* eri_;
   const ints::Screening* screen_;
   std::size_t batch_capacity_ = kSerialFockBatchCapacity;
-  std::size_t quartets_ = 0;
-  std::size_t density_screened_ = 0;
-  std::size_t static_screened_ = 0;
+  QuartetCounts counts_;
   std::size_t pairs_ = 0;
 };
 

@@ -47,8 +47,8 @@ struct SweepConfig {
     if (!dynamic_schedule) os << ",static";
     if (!lazy_fi_flush) os << ",eager-fi";
     if (alg == core::ScfAlgorithm::kDistFock) {
-      os << ",cache" << dist.max_cached_tiles << ",pf"
-         << dist.prefetch_depth << (dist.dynamic_lb ? "" : ",cyclic");
+      os << ",cache" << dist.max_cached_tiles
+         << (dist.dynamic_lb ? "" : ",cyclic");
     }
     os << "]";
     return os.str();
@@ -79,7 +79,9 @@ std::vector<SweepConfig> draw_configs(core::ScfAlgorithm alg,
     cfg.dynamic_schedule = r.chance(1, 2);
     cfg.lazy_fi_flush = r.chance(3, 4);
     cfg.work_stealing = r.chance(1, 3);
-    cfg.dist.prefetch_depth = static_cast<int>(r.below(4));
+    // Formerly the dist-fock prefetch depth; still drawn so fixed-seed
+    // samples keep their configurations.
+    static_cast<void>(r.below(4));
     cfg.dist.dynamic_lb = r.chance(1, 2);
     // Adversarially small tile caches included: 1-tile and 2-tile budgets
     // force constant eviction and pinned-over-budget scatter.

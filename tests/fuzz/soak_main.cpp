@@ -26,8 +26,10 @@
 //   * never a hang: the binary runs under a ctest/CI timeout, so a stuck
 //     barrier is a failure, not a wedged pipeline.
 //
-// Every failure prints the job seed and replay command
-// (MC_FUZZ_SEED=<seed> ctest --test-dir build -R fuzz_soak_replay).
+// Every failure prints the job seed and a replay command that carries the
+// run's job-drawing settings (MC_FUZZ_FAULT_PERCENT=<P> MC_FUZZ_MAX_RANKS=<R>
+// MC_FUZZ_SEED=<seed> ctest --test-dir build -R fuzz_soak_replay), so the
+// replayed job draws the same configuration and fault plan.
 
 #include <algorithm>
 #include <array>
@@ -65,6 +67,22 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Reads an integer setting the printed replay command exports. Leaves
+/// `out` alone when the variable is unset; false if it is malformed or
+/// outside [lo, hi].
+bool env_int(const char* name, int lo, int hi, int& out) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return true;
+  char* end = nullptr;
+  const long x = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || x < lo || x > hi) {
+    std::fprintf(stderr, "bad %s '%s'\n", name, v);
+    return false;
+  }
+  out = static_cast<int>(x);
+  return true;
+}
+
 struct JobConfig {
   mc::core::ParallelScfConfig scf;
   mc::par::FaultPlan fault;
@@ -96,7 +114,9 @@ JobConfig draw_job(const mc::fuzz::FuzzSample& sample, std::uint64_t job_seed,
   // Adversarial dist-fock budgets ride along on every dist job.
   const std::array<std::size_t, 4> caches = {0, 1, 2, 8};
   job.scf.dist_options.max_cached_tiles = caches[r.below(caches.size())];
-  job.scf.dist_options.prefetch_depth = static_cast<int>(r.below(4));
+  // Formerly the dist-fock prefetch depth; still drawn so fixed-seed jobs
+  // keep their configurations.
+  static_cast<void>(r.below(4));
   job.scf.dist_options.dynamic_lb = r.chance(1, 2);
 
   if (r.chance(static_cast<std::uint64_t>(fault_percent), 100)) {
@@ -309,8 +329,13 @@ int main(int argc, char** argv) {
       return 2;
     }
     replay = true;
-    // Replay a serve-mode failure through the serve path (the replay
-    // command a serve-mode soak prints sets this variable).
+    // The job is drawn from the failing run's settings, which its printed
+    // replay command exports; a serve-mode failure replays through the
+    // serve path.
+    if (!env_int("MC_FUZZ_FAULT_PERCENT", 0, 100, fault_percent) ||
+        !env_int("MC_FUZZ_MAX_RANKS", 1, 64, max_ranks)) {
+      return 2;
+    }
     if (std::getenv("MC_FUZZ_SERVE") != nullptr) serve_mode = true;
   }
 
@@ -361,6 +386,11 @@ int main(int argc, char** argv) {
                  std::to_string(job.scf.nthreads);
       fault_desc = mc::par::fault_plan_env_string(job.fault);
       if (!fault_desc.empty()) describe += " fault{" + fault_desc + "}";
+      if (replay) {
+        std::printf("replay job %s: %s\n",
+                    mc::fuzz::format_seed(job_seed).c_str(), describe.c_str());
+        std::fflush(stdout);
+      }
       res = run_job(sample, job, server.get());
     } catch (const std::exception& e) {
       res.failures.push_back(std::string("job setup threw: ") + e.what());
@@ -382,10 +412,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "  %s\n", f.c_str());
       }
       std::fprintf(stderr,
-                   "  replay: %sMC_FUZZ_SEED=%s ctest --test-dir build -R "
+                   "  replay: %sMC_FUZZ_FAULT_PERCENT=%d MC_FUZZ_MAX_RANKS=%d "
+                   "MC_FUZZ_SEED=%s ctest --test-dir build -R "
                    "fuzz_soak_replay\n",
-                   serve_mode ? "MC_FUZZ_SERVE=1 " : "",
-                   mc::fuzz::format_seed(job_seed).c_str());
+                   serve_mode ? "MC_FUZZ_SERVE=1 " : "", fault_percent,
+                   max_ranks, mc::fuzz::format_seed(job_seed).c_str());
     } else if ((j + 1) % 50 == 0 || replay) {
       std::printf("job %ld/%ld ok (%s)\n", j + 1, total,
                   res.outcome.c_str());

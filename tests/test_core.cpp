@@ -15,6 +15,7 @@
 #include "core/memory_model.hpp"
 #include "core/parallel_scf.hpp"
 #include "fock_fixture.hpp"
+#include "golden_trajectories.hpp"
 
 namespace mc::core {
 namespace {
@@ -489,22 +490,52 @@ TEST(ParallelScf, RejectsInvalidConfigs) {
                mc::Error);  // odd electron count
 }
 
-TEST(ParallelScf, RejectsConvergenceAidsItDoesNotImplement) {
-  for (bool shift : {false, true}) {
-    ParallelScfConfig cfg;
-    cfg.basis = "STO-3G";
+TEST(ParallelScf, ConvergenceAidsReproduceSerialTrajectory) {
+  // Level shift and damping live in scf::run_scf, which every rank of
+  // run_parallel_scf runs, so each algorithm must retrace the serial
+  // per-iteration energies with either aid on.
+  const chem::Molecule mol = chem::builders::water();
+  auto bs = basis::BasisSet::build(mol, "STO-3G");
+  ints::EriEngine eri(bs);
+  ints::Screening screen(eri, 1e-10);
+  for (bool shift : {true, false}) {
+    scf::ScfOptions opt;
     if (shift) {
-      cfg.scf.level_shift = 0.5;
+      opt.level_shift = 0.5;
     } else {
-      cfg.scf.damping = 0.3;
+      opt.damping = 0.3;
     }
-    try {
-      run_parallel_scf(chem::builders::h2(), cfg);
-      ADD_FAILURE() << (shift ? "level_shift" : "damping") << " accepted";
-    } catch (const mc::Error& e) {
-      EXPECT_NE(std::string(e.what()).find(shift ? "level_shift" : "damping"),
-                std::string::npos)
-          << e.what();
+    const char* aid = shift ? "level_shift" : "damping";
+    scf::SerialFockBuilder serial(eri, screen);
+    const scf::ScfResult ref = scf::run_scf(mol, bs, serial, opt);
+    ASSERT_TRUE(ref.converged) << aid;
+
+    struct Layout {
+      ScfAlgorithm alg;
+      int nranks;
+      int nthreads;
+    };
+    for (const Layout& lay : {Layout{ScfAlgorithm::kMpiOnly, 2, 1},
+                              Layout{ScfAlgorithm::kDistFock, 2, 1},
+                              Layout{ScfAlgorithm::kPrivateFock, 1, 2},
+                              Layout{ScfAlgorithm::kSharedFock, 1, 2}}) {
+      ParallelScfConfig cfg;
+      cfg.algorithm = lay.alg;
+      cfg.nranks = lay.nranks;
+      cfg.nthreads = lay.nthreads;
+      cfg.basis = "STO-3G";
+      cfg.schwarz_threshold = 1e-10;
+      cfg.scf = opt;
+      const scf::ScfResult res = run_parallel_scf(mol, cfg).scf;
+      const std::string what =
+          std::string(algorithm_name(lay.alg)) + " with " + aid;
+      EXPECT_TRUE(res.converged) << what;
+      ASSERT_EQ(res.history.size(), ref.history.size()) << what;
+      for (std::size_t i = 0; i < ref.history.size(); ++i) {
+        EXPECT_NEAR(res.history[i].energy, ref.history[i].energy,
+                    mc::testing::kGoldenEnergyTolerance)
+            << what << ": iteration " << i + 1;
+      }
     }
   }
 }

@@ -231,7 +231,6 @@ TEST(DistFockCache, CapacityOneWithZeroHeadroomPinningStaysExact) {
     opt.tile_rows = 1;  // shell-boundary tiles: maximal tile count
     opt.max_cached_tiles = cache;
     opt.max_open_f_tiles = 1;
-    opt.prefetch_depth = 2;
     la::Matrix g = core::build_distributed(fx, 3, [&](par::Ddi& ddi) {
       return std::make_unique<core::FockBuilderDist>(fx.eri, fx.screen, ddi,
                                                      opt);

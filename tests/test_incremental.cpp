@@ -16,6 +16,7 @@
 
 #include "core/parallel_scf.hpp"
 #include "fock_fixture.hpp"
+#include "pair_index.hpp"
 #include "scf/stored_integrals.hpp"
 
 namespace mc::core {
@@ -112,7 +113,7 @@ TEST(PairLists, DecodeTableMatchesUnpackPair) {
   const std::size_t ns = fx.screen.nshells();
   for (std::size_t p = 0; p < ns * (ns + 1) / 2; ++p) {
     std::size_t i, j;
-    scf::unpack_pair(p, i, j);
+    test::unpack_pair(p, i, j);
     EXPECT_EQ(fx.screen.pair_shells(p), std::make_pair(i, j));
   }
 }
@@ -481,6 +482,42 @@ TEST(IncrementalScf, ParallelBenzeneScreensQuartetsByConvergence) {
             res.scf.history.front().quartets_computed);
   EXPECT_GT(res.scf.history.back().density_screened, 0u);
   EXPECT_FALSE(res.scf.history.back().full_rebuild);
+}
+
+TEST(IncrementalScf, WarmStartDeltaBuildScreensMostQuartets) {
+  // The measured case for incremental Fock (DESIGN.md section 9): a job
+  // seeded from a converged density has a tiny delta density, so its first
+  // delta build must screen out most quartets -- through the serial driver
+  // and through the distributed path, whose counters are rank-summed --
+  // while the energy stays that of the cold run.
+  auto mol = chem::builders::benzene();
+  auto bs = basis::BasisSet::build(mol, "STO-3G");
+  ints::EriEngine eri(bs);
+  ints::Screening screen(eri, 1e-10);
+  scf::SerialFockBuilder serial(eri, screen);
+  const scf::ScfResult cold = scf::run_scf(mol, bs, serial);
+  ASSERT_TRUE(cold.converged);
+
+  auto expect_warm = [&](const scf::ScfResult& warm, const char* what) {
+    EXPECT_TRUE(warm.converged) << what;
+    ASSERT_GE(warm.history.size(), 2u) << what;
+    EXPECT_FALSE(warm.history[1].full_rebuild) << what;
+    EXPECT_LT(2 * warm.history[1].quartets_computed,
+              warm.history[0].quartets_computed)
+        << what << ": the delta build stopped screening";
+    EXPECT_NEAR(warm.energy, cold.energy, 1e-9) << what;
+  };
+
+  expect_warm(scf::run_scf(mol, bs, serial, {}, {}, &cold.density),
+              "run_scf");
+
+  ParallelScfConfig cfg;
+  cfg.algorithm = ScfAlgorithm::kMpiOnly;
+  cfg.nranks = 2;
+  cfg.basis = "STO-3G";
+  ParallelScfContext ctx;
+  ctx.seed_density = std::make_shared<const la::Matrix>(cold.density);
+  expect_warm(run_parallel_scf(mol, cfg, ctx).scf, "run_parallel_scf");
 }
 
 // ---- Trivial-context compatibility of the remaining builders ----

@@ -17,6 +17,7 @@
 #include "knlsim/knl_config.hpp"
 #include "knlsim/simulator.hpp"
 #include "knlsim/workload.hpp"
+#include "pair_index.hpp"
 #include "scf/fock_builder.hpp"
 
 namespace mc::knlsim {
@@ -147,7 +148,7 @@ TEST(Workload, RadialQBoundsMatchExactSchwarz) {
   double log_ratio_sum = 0.0;
   for (const PairTask& t : wl.pairs()) {
     std::size_t i, j;
-    mc::scf::unpack_pair(t.idx, i, j);
+    mc::test::unpack_pair(t.idx, i, j);
     const double qe = exact.q(i, j);
     if (qe < 1e-8) continue;  // interpolation noise region
     const double ratio = t.q / qe;

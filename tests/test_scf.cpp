@@ -17,6 +17,7 @@
 #include "scf/diis.hpp"
 #include "scf/scf_driver.hpp"
 #include "scf/serial_fock.hpp"
+#include "pair_index.hpp"
 
 namespace mc::scf {
 namespace {
@@ -291,7 +292,7 @@ TEST(FockCommon, PairIndexRoundTrip) {
   for (std::size_t i = 0; i < 80; ++i) {
     for (std::size_t j = 0; j <= i; ++j, ++pair) {
       std::size_t ii, jj;
-      unpack_pair(pair, ii, jj);
+      test::unpack_pair(pair, ii, jj);
       EXPECT_EQ(ii, i);
       EXPECT_EQ(jj, j);
     }
